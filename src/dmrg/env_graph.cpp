@@ -130,8 +130,9 @@ void EnvGraph::prefetch(bool is_left, int j) {
     return;  // prefetch computes one edge only; demand handles chain rebuilds
   if (!pf_queue_) {
     // Same algorithm / virtual cluster as the main engine — bit-identical
-    // tensors, comparable charged cost. Serial (the worker thread runs with
-    // in_parallel_region() set); no scheduler: ranks are not prefetch-safe.
+    // tensors, comparable charged cost. Serial: every parallel_for the task
+    // reaches, GEMM and einsum kernels included, runs inline on the TaskQueue
+    // worker. No scheduler: ranks are not prefetch-safe.
     pf_engine_ = make_engine(eng_.kind(), eng_.cluster(), eng_.params());
     pf_queue_ = std::make_unique<support::TaskQueue>();
   }

@@ -12,8 +12,6 @@ namespace tt::linalg {
 
 namespace {
 
-using support::openmp_allowed;
-
 // Half-open range overlap on raw addresses (std::uintptr_t: comparing
 // unrelated pointers directly is unspecified).
 bool ranges_overlap(const real_t* a, index_t na, const real_t* b, index_t nb) {
@@ -37,9 +35,10 @@ bool ranges_overlap(const real_t* a, index_t na, const real_t* b, index_t nb) {
 // packing reads op(A)/op(B) through their physical layout, so transposed
 // operands cost nothing extra — no transpose is ever materialized.
 //
-// Threads split the ic panel loop (disjoint C rows) while the pc loop stays
-// sequential, so every C element accumulates its k contributions in one fixed
-// order: results are bitwise identical at any thread count.
+// Pool threads split the (panel × column-strip) tiles (disjoint C blocks)
+// while the pc loop stays sequential, so every C element accumulates its k
+// contributions in one fixed order: results are bitwise identical at any
+// thread count.
 constexpr index_t kMr = 4;     // register tile rows
 constexpr index_t kNr = 8;     // register tile cols (one or two vector widths)
 constexpr index_t kMc = 128;   // A panel rows   (A panel: kMc×kKc = 256 KB)
@@ -47,6 +46,18 @@ constexpr index_t kKc = 256;   // shared k block
 constexpr index_t kNc = 2048;  // B panel cols   (B panel: kKc×kNc ≤ 4 MB)
 
 index_t round_up(index_t x, index_t q) { return (x + q - 1) / q * q; }
+
+// body(i) for i in [0, n): on the thread pool when `parallel`, else a plain
+// loop (small GEMMs run by the million inside pool bins; they skip building
+// the pool's std::function).
+template <class Body>
+void for_each_index(bool parallel, index_t n, const Body& body) {
+  if (parallel) {
+    support::parallel_for(n, body);
+  } else {
+    for (index_t i = 0; i < n; ++i) body(i);
+  }
+}
 
 // Pack alpha·op(A)[i0:i0+ib, pc:pc+kc] — one kMr-tall strip, k-major,
 // zero-padded past ib rows.
@@ -89,10 +100,10 @@ void micro_kernel(index_t kc, const real_t* __restrict ap,
 }
 
 // C += alpha·op(A)·op(B) for non-degenerate shapes (beta already applied).
-// Each (jc, pc) block runs three phases — pack B strips, pack A strips,
-// sweep (panel × column-strip) tiles — every one parallel over disjoint
-// writes, so parallelism scales with max(m/4, n/8, m·n/1024) rather than
-// m/128 alone, and results stay bitwise identical at any thread count.
+// Each (jc, pc) block runs two phases — pack the B and A strips, then sweep
+// (panel × column-strip) tiles — each parallel over disjoint writes, so
+// parallelism scales with max(m/4, n/8, m·n/1024) rather than m/128 alone,
+// and results stay bitwise identical at any thread count.
 void gemm_packed(bool transa, bool transb, index_t m, index_t n, index_t k,
                  real_t alpha, const real_t* a, const real_t* b, real_t* c) {
   const index_t kc_max = std::min(kKc, k);
@@ -101,28 +112,30 @@ void gemm_packed(bool transa, bool transb, index_t m, index_t n, index_t k,
   std::vector<real_t> apack(static_cast<std::size_t>(round_up(m, kMr) * kc_max));
   const index_t num_panels = (m + kMc - 1) / kMc;
   const index_t num_astrips = (m + kMr - 1) / kMr;
-  [[maybe_unused]] const bool parallel =
-      m * n * k > (index_t{1} << 16) && openmp_allowed();
+  const bool parallel = m * n * k > (index_t{1} << 16);
   for (index_t jc = 0; jc < n; jc += kNc) {
     const index_t nc = std::min(kNc, n - jc);
     const index_t num_bstrips = (nc + kNr - 1) / kNr;
     for (index_t pc = 0; pc < k; pc += kKc) {
       const index_t kc = std::min(kKc, k - pc);
-#pragma omp parallel for schedule(static) if (parallel)
-      for (index_t s = 0; s < num_bstrips; ++s)
-        pack_b_strip(transb, b, k, n, pc, jc + s * kNr,
-                     std::min(kNr, nc - s * kNr), kc,
-                     bpack.data() + s * kc * kNr);
-#pragma omp parallel for schedule(static) if (parallel)
-      for (index_t s = 0; s < num_astrips; ++s)
-        pack_a_strip(transa, a, m, k, s * kMr, std::min(kMr, m - s * kMr), pc,
-                     kc, alpha, apack.data() + s * kc * kMr);
+      // Both packs in one pass: each pool fork-join costs microseconds.
+      for_each_index(parallel, num_bstrips + num_astrips, [&](index_t s) {
+        if (s < num_bstrips) {
+          pack_b_strip(transb, b, k, n, pc, jc + s * kNr,
+                       std::min(kNr, nc - s * kNr), kc,
+                       bpack.data() + s * kc * kNr);
+        } else {
+          const index_t sa = s - num_bstrips;
+          pack_a_strip(transa, a, m, k, sa * kMr, std::min(kMr, m - sa * kMr), pc,
+                       kc, alpha, apack.data() + sa * kc * kMr);
+        }
+      });
       // One tile = one C row panel × one packed B strip, column-strip-minor:
       // consecutive tiles reuse the same A panel (the L2-resident object)
-      // and stream the small B strips past it.
+      // and stream the small B strips past it. The pool's stealing balances
+      // the ragged edge tiles.
       const index_t tiles = num_panels * num_bstrips;
-#pragma omp parallel for schedule(dynamic, 1) if (parallel)
-      for (index_t t = 0; t < tiles; ++t) {
+      for_each_index(parallel, tiles, [&](index_t t) {
         const index_t panel = t / num_bstrips;
         const index_t js = t % num_bstrips;
         const index_t ic = panel * kMc;
@@ -134,7 +147,7 @@ void gemm_packed(bool transa, bool transb, index_t m, index_t n, index_t k,
           micro_kernel(kc, apack.data() + ((ic + ir) / kMr) * kc * kMr, bs,
                        c + (ic + ir) * n + jc + jr, n, std::min(kMr, mc - ir),
                        nb);
-      }
+      });
     }
   }
 }
@@ -145,7 +158,6 @@ void scale_inplace(real_t* c, index_t count, real_t beta) {
     std::memset(c, 0, static_cast<std::size_t>(count) * sizeof(real_t));
     return;
   }
-#pragma omp parallel for schedule(static) if (count > (index_t{1} << 16) && openmp_allowed())
   for (index_t i = 0; i < count; ++i) c[i] *= beta;
 }
 
@@ -163,7 +175,6 @@ void builtin_gemm(bool transa, bool transb, index_t m, index_t n, index_t k,
 
 void builtin_gemv(index_t m, index_t n, real_t alpha, const real_t* a,
                   const real_t* x, real_t beta, real_t* y) {
-#pragma omp parallel for schedule(static) if (m * n > (index_t{1} << 16) && openmp_allowed())
   for (index_t i = 0; i < m; ++i) {
     real_t s = 0.0;
     const real_t* ai = a + i * n;

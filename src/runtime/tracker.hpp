@@ -8,7 +8,6 @@
 #include <array>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "support/types.hpp"
 
@@ -51,7 +50,7 @@ class CostTracker {
   /// this - other, category-wise (for measuring a sub-region).
   CostTracker diff(const CostTracker& start) const;
 
-  /// this += other, category-wise (shard reduction).
+  /// this += other, category-wise (folds per-region engine trackers).
   void merge(const CostTracker& other);
 
   void reset();
@@ -64,40 +63,6 @@ class CostTracker {
   double flops_ = 0.0;
   double words_ = 0.0;
   double supersteps_ = 0.0;
-};
-
-/// Thread-safe CostTracker accumulation via per-thread shards: concurrent
-/// code charges shard(slot) without locks (one shard per executor slot, see
-/// support::execution_slot()), and merged()/merge_into() folds the shards in
-/// slot order on the coordinating thread once the parallel region finished.
-/// Shards are cache-line padded so concurrent charging does not false-share.
-class CostTrackerShards {
- public:
-  explicit CostTrackerShards(int num_shards);
-
-  int num_shards() const { return static_cast<int>(slots_.size()); }
-
-  /// The shard owned by executor slot i. Not synchronized: each slot must be
-  /// charged by at most one thread at a time. Slot indices are unique within
-  /// one parallel_for, so charging shard(support::execution_slot()) is safe
-  /// from inside a single parallel region — but two concurrent top-level
-  /// regions (different application threads) both hand out slots starting at
-  /// 0, so they must not share one CostTrackerShards instance.
-  CostTracker& shard(int i);
-
-  /// Fold every shard into `target` in slot order (deterministic reduction).
-  void merge_into(CostTracker& target) const;
-
-  /// All shards folded into a fresh tracker, in slot order.
-  CostTracker merged() const;
-
-  void reset();
-
- private:
-  struct alignas(64) Slot {
-    CostTracker tracker;
-  };
-  std::vector<Slot> slots_;
 };
 
 }  // namespace tt::rt

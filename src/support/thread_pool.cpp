@@ -12,20 +12,20 @@ namespace tt::support {
 namespace {
 
 thread_local bool tl_in_region = false;
-thread_local int tl_slot = 0;
 
 std::atomic<int> g_override{0};
-std::atomic<bool> g_omp_suppressed{false};
+
+// Marks the calling thread as inside a region for one inline serial loop.
+struct SerialRegion {
+  SerialRegion() { tl_in_region = true; }
+  ~SerialRegion() { tl_in_region = false; }
+  SerialRegion(const SerialRegion&) = delete;
+  SerialRegion& operator=(const SerialRegion&) = delete;
+};
 
 }  // namespace
 
 bool in_parallel_region() { return tl_in_region; }
-
-bool openmp_allowed() {
-  return !tl_in_region && !g_omp_suppressed.load(std::memory_order_relaxed);
-}
-
-int execution_slot() { return tl_slot; }
 
 // One parallel_for in flight: per-participant iteration ranges with atomic
 // cursors (the steal targets), plus completion and error state.
@@ -91,7 +91,6 @@ void ThreadPool::worker_main() {
 
 void ThreadPool::run_participant(Loop& loop, int slot) {
   tl_in_region = true;
-  tl_slot = slot;
   const int nslots = static_cast<int>(loop.slots.size());
   try {
     int victim = slot;  // start with our own range, then steal
@@ -120,7 +119,6 @@ void ThreadPool::run_participant(Loop& loop, int slot) {
   } catch (...) {
     loop.record_error(std::current_exception());
   }
-  tl_slot = 0;
   tl_in_region = false;
   loop.finish_participant();
 }
@@ -210,15 +208,18 @@ void notify_fork_child() {
   // been captured mid-acquisition by a parent thread that no longer exists.
   for (auto& p : g_pools) (void)p.release();
   g_pools.clear();
-  g_omp_suppressed.store(true, std::memory_order_relaxed);
   tl_in_region = false;
-  tl_slot = 0;
 }
 
 void parallel_for(index_t n, const std::function<void(index_t)>& body,
                   int threads) {
   if (threads <= 0) threads = num_threads();
   if (n <= 0) return;
+  if (threads == 1 && !in_parallel_region()) {
+    const SerialRegion region;  // serial all the way down (see header)
+    for (index_t i = 0; i < n; ++i) body(i);
+    return;
+  }
   if (threads == 1 || n == 1 || in_parallel_region()) {
     for (index_t i = 0; i < n; ++i) body(i);
     return;

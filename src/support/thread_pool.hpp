@@ -12,9 +12,10 @@
 //   2. the TT_THREADS environment variable (>= 1), read once,
 //   3. std::thread::hardware_concurrency().
 //
-// Kernels that carry their own OpenMP pragmas consult in_parallel_region()
-// in their `if` clauses so that pool workers never spawn nested OpenMP teams
-// (which would oversubscribe the machine and break wall-time accounting).
+// This is the only threading runtime in the library: the block executor, the
+// packed GEMM and the sparse einsum kernels all parallelize through
+// parallel_for. A parallel_for reached from inside another one runs inline on
+// the calling thread, so nested kernels never oversubscribe the machine.
 #pragma once
 
 #include <condition_variable>
@@ -30,31 +31,17 @@
 
 namespace tt::support {
 
-/// True while the calling thread executes inside a pool parallel region
-/// (worker or participating caller). Used to suppress nested parallelism.
+/// True while the calling thread executes inside a parallel region (a pool
+/// participant, a loop capped at one thread, or a TaskQueue task). Nested
+/// parallel_for calls run inline there.
 bool in_parallel_region();
-
-/// For OpenMP `if` clauses in kernels: true when the kernel may open its own
-/// OpenMP team, i.e. the caller is not inside a pool region and the process
-/// has not been marked OpenMP-unsafe (forked scheduler workers — see
-/// notify_fork_child()). One definition of the suppression policy for all
-/// kernel files.
-bool openmp_allowed();
 
 /// Must be the first tt call in a freshly fork()ed child process. The child
 /// inherits pool objects whose worker threads do not exist on its side of the
-/// fork (joining or scheduling onto them would hang), and a libgomp runtime
-/// whose team state is not fork-safe. This call abandons every inherited pool
-/// (deliberately leaked — their destructors would join ghost threads) and
-/// permanently suppresses OpenMP regions in this process; fresh pools are
-/// created on demand by the next parallel_for.
+/// fork (joining or scheduling onto them would hang). This call abandons every
+/// inherited pool (deliberately leaked — their destructors would join ghost
+/// threads); fresh pools are created on demand by the next parallel_for.
 void notify_fork_child();
-
-/// Slot index of the calling participant within the innermost active
-/// parallel_for, in [0, participants); 0 outside any parallel region. Stable
-/// for the duration of one body invocation — the natural shard index for
-/// per-thread accumulators (see rt::CostTrackerShards).
-int execution_slot();
 
 /// A pool of background worker threads executing stealable index loops.
 /// One loop runs at a time per pool; concurrent callers are serialized.
@@ -101,6 +88,9 @@ void set_num_threads(int n);
 /// Run body(i) for i in [0, n) on the shared global pool. `threads` caps the
 /// participant count; 0 means the num_threads() setting. Serial (inline) when
 /// the resolved count is 1, n <= 1, or the caller is already inside a region.
+/// A loop resolved to one thread runs as a region, so every kernel its body
+/// reaches stays on the calling thread too: a serial request is serial all
+/// the way down.
 void parallel_for(index_t n, const std::function<void(index_t)>& body,
                   int threads = 0);
 
@@ -110,9 +100,9 @@ void parallel_for(index_t n, const std::function<void(index_t)>& body,
 /// with its caller, so tasks that must run *beside* the main thread live here.
 ///
 /// Tasks execute with in_parallel_region() set on the worker, so any
-/// parallel_for or OpenMP kernel a task reaches runs inline on the worker
-/// thread: the submitting thread keeps the pool, the task costs one core, and
-/// neither side oversubscribes the machine.
+/// parallel_for a task reaches runs inline on the worker thread: the
+/// submitting thread keeps the pool, the task costs one core, and neither
+/// side oversubscribes the machine.
 ///
 /// Not fork-safe: like ThreadPool, the worker does not survive fork() —
 /// construct after any rt::Scheduler process spawning, or not at all in

@@ -2,20 +2,13 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
 #include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "linalg/gemm.hpp"
 #include "support/error.hpp"
 #include "support/thread_pool.hpp"
 
 namespace tt::tensor {
-
-using support::openmp_allowed;
 
 namespace {
 
@@ -297,96 +290,122 @@ SparseTensor einsum_ss(const std::string& spec_str, const SparseTensor& a,
     es.reserve(static_cast<std::size_t>(t.nnz()));
     auto idx = t.indices();
     auto val = t.values();
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-      Entry e;
-      e.key = relinearize(idx[i], split, kmodes, kw);
-      e.contrib = relinearize(idx[i], split, fmodes, fw);
-      e.val = val[i];
-      es.push_back(e);
-    }
-    std::sort(es.begin(), es.end(),
-              [](const Entry& x, const Entry& y) { return x.key < y.key; });
+    for (std::size_t i = 0; i < idx.size(); ++i)
+      es.push_back({relinearize(idx[i], split, kmodes, kw),
+                    relinearize(idx[i], split, fmodes, fw), val[i]});
     return es;
   };
+  // A row-major: one output "row" per free-A contribution, its entries in
+  // contracted-key order. B by key, so each key's entries form one group.
+  std::vector<Entry> ea = gather(a, sa, p.con_a, ka_w, p.free_a, ra_w);
+  std::vector<Entry> eb = gather(b, sb, p.con_b, kb_w, p.free_b, cb_w);
+  std::sort(ea.begin(), ea.end(), [](const Entry& x, const Entry& y) {
+    return x.contrib < y.contrib || (x.contrib == y.contrib && x.key < y.key);
+  });
+  std::sort(eb.begin(), eb.end(), [](const Entry& x, const Entry& y) {
+    return x.key < y.key || (x.key == y.key && x.contrib < y.contrib);
+  });
 
-  const std::vector<Entry> ea = gather(a, sa, p.con_a, ka_w, p.free_a, ra_w);
-  const std::vector<Entry> eb = gather(b, sb, p.con_b, kb_w, p.free_b, cb_w);
+  // Compact column ids over B's distinct output contributions: the index
+  // space of each row's dense accumulator.
+  std::vector<index_t> cols(eb.size());
+  for (std::size_t i = 0; i < eb.size(); ++i) cols[i] = eb[i].contrib;
+  std::sort(cols.begin(), cols.end());
+  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+  std::vector<std::size_t> bcol(eb.size());
+  for (std::size_t i = 0; i < eb.size(); ++i)
+    bcol[i] = static_cast<std::size_t>(
+        std::lower_bound(cols.begin(), cols.end(), eb[i].contrib) - cols.begin());
 
-  // Merge-join matching contracted keys; one (start, end) group pair per key.
-  struct Group {
-    std::size_t a0, a1, b0, b1;
-  };
-  std::vector<Group> groups;
+  // Each A entry's run of B entries with the same contracted key (empty when
+  // it has no partner), and the row boundaries with their pair counts (the
+  // load-balancing weight).
+  const auto key_less = [](const Entry& x, const Entry& y) { return x.key < y.key; };
+  std::vector<std::pair<std::size_t, std::size_t>> brun(ea.size());
+  std::vector<std::size_t> rstart;
+  std::vector<index_t> rwork;
+  index_t total_work = 0;
+  for (std::size_t i = 0; i < ea.size(); ++i) {
+    if (i == 0 || ea[i].contrib != ea[i - 1].contrib) {
+      rstart.push_back(i);
+      rwork.push_back(0);
+    }
+    const auto [lo, hi] = std::equal_range(eb.begin(), eb.end(), ea[i], key_less);
+    brun[i] = {static_cast<std::size_t>(lo - eb.begin()),
+               static_cast<std::size_t>(hi - eb.begin())};
+    rwork.back() += hi - lo;
+    total_work += hi - lo;
+  }
+  rstart.push_back(ea.size());
+  const std::size_t nrows = rwork.size();
+
+  // Output flat = A contrib + B contrib, and the free modes of A and B are
+  // disjoint output modes, so distinct rows own disjoint sets of output
+  // flats. Chunks of whole rows therefore never share an output element, and
+  // each element sums its terms in contracted-key order — the serial order —
+  // whatever the chunking: the result is bitwise identical at any thread
+  // count.
+  const bool parallel =
+      total_work > (index_t{1} << 14) && !support::in_parallel_region();
+  const std::size_t nchunks = std::min<std::size_t>(
+      nrows, parallel ? 2 * static_cast<std::size_t>(support::num_threads()) : 1);
+  // Chunk c is rows [chunk_rows[c], chunk_rows[c + 1]), cut at equal work.
+  std::vector<std::size_t> chunk_rows{0};
   {
-    std::size_t i = 0, j = 0;
-    while (i < ea.size() && j < eb.size()) {
-      if (ea[i].key < eb[j].key) {
-        ++i;
-      } else if (eb[j].key < ea[i].key) {
-        ++j;
-      } else {
-        const index_t key = ea[i].key;
-        Group g{i, i, j, j};
-        while (g.a1 < ea.size() && ea[g.a1].key == key) ++g.a1;
-        while (g.b1 < eb.size() && eb[g.b1].key == key) ++g.b1;
-        groups.push_back(g);
-        i = g.a1;
-        j = g.b1;
-      }
+    index_t done = 0;
+    for (std::size_t r = 0; r < nrows && chunk_rows.size() < nchunks; ++r) {
+      done += rwork[r];
+      const auto c = static_cast<index_t>(chunk_rows.size());
+      if (done * static_cast<index_t>(nchunks) >= c * total_work)
+        chunk_rows.push_back(r + 1);
     }
+    chunk_rows.push_back(nrows);
   }
 
+  struct ChunkResult {
+    std::vector<std::pair<index_t, real_t>> entries;
+    index_t products = 0;
+  };
+  std::vector<ChunkResult> results(chunk_rows.size() - 1);
+  support::parallel_for(static_cast<index_t>(results.size()), [&](index_t c) {
+    ChunkResult& res = results[static_cast<std::size_t>(c)];
+    std::vector<real_t> acc(cols.size(), 0.0);
+    std::vector<char> hit(cols.size(), 0);
+    std::vector<std::size_t> touched;
+    for (std::size_t r = chunk_rows[static_cast<std::size_t>(c)];
+         r < chunk_rows[static_cast<std::size_t>(c) + 1]; ++r) {
+      const index_t row = ea[rstart[r]].contrib;
+      for (std::size_t ia = rstart[r]; ia < rstart[r + 1]; ++ia) {
+        const real_t va = ea[ia].val;
+        for (std::size_t ib = brun[ia].first; ib < brun[ia].second; ++ib) {
+          if (out_mask && !out_mask->contains(row + eb[ib].contrib)) continue;
+          const std::size_t col = bcol[ib];
+          if (!hit[col]) {
+            hit[col] = 1;
+            touched.push_back(col);
+          }
+          acc[col] += va * eb[ib].val;
+          ++res.products;
+        }
+      }
+      for (std::size_t col : touched) {
+        res.entries.emplace_back(row + cols[col], acc[col]);
+        acc[col] = 0.0;
+        hit[col] = 0;
+      }
+      touched.clear();
+    }
+  });
+
+  // Every flat occurs once across the chunks, so finalize()'s sort alone
+  // fixes the output order.
   SparseTensor out(c_shape);
-  double flops = 0.0;
-#ifdef _OPENMP
-  const int nthreads = omp_get_max_threads();
-#else
-  const int nthreads = 1;
-#endif
-  // tt-lint: allow(ordered-iteration) accumulator only; drained below via a flat-sorted vector, never iterated in hash order
-  std::vector<std::unordered_map<index_t, real_t>> partial(
-      static_cast<std::size_t>(nthreads));
-  std::vector<double> partial_flops(static_cast<std::size_t>(nthreads), 0.0);
-
-// schedule(static), not dynamic: the group→thread assignment decides which
-// per-thread map each contribution lands in, and therefore the order
-// duplicates merge in below. Static chunking makes that assignment a pure
-// function of (groups.size(), nthreads), so results are bitwise reproducible
-// run to run.
-#pragma omp parallel for schedule(static) if (groups.size() > 16 && openmp_allowed())
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-#ifdef _OPENMP
-    auto& acc = partial[static_cast<std::size_t>(omp_get_thread_num())];
-    auto& fl = partial_flops[static_cast<std::size_t>(omp_get_thread_num())];
-#else
-    auto& acc = partial[0];
-    auto& fl = partial_flops[0];
-#endif
-    const Group& gr = groups[g];
-    for (std::size_t ia = gr.a0; ia < gr.a1; ++ia) {
-      for (std::size_t ib = gr.b0; ib < gr.b1; ++ib) {
-        const index_t flat = ea[ia].contrib + eb[ib].contrib;
-        if (out_mask && !out_mask->contains(flat)) continue;
-        acc[flat] += ea[ia].val * eb[ib].val;
-        fl += 2.0;
-      }
-    }
+  index_t products = 0;
+  for (const ChunkResult& res : results) {
+    for (const auto& [flat, v] : res.entries) out.add(flat, v);
+    products += res.products;
   }
-  // Drain each thread's accumulator in ascending flat order, threads in rank
-  // order: iterating the unordered_map directly would feed out.add() in
-  // hash-dependent order, and SparseTensor::finalize sums duplicate flats in
-  // insertion order — hash order leaking in here is exactly the
-  // nondeterminism the ordered-iteration lint rule exists to catch.
-  std::vector<std::pair<index_t, real_t>> drain;
-  for (int t = 0; t < nthreads; ++t) {
-    // tt-lint: allow(ordered-iteration) copied out then sorted by flat index before any order-sensitive use
-    drain.assign(partial[static_cast<std::size_t>(t)].cbegin(),
-                 partial[static_cast<std::size_t>(t)].cend());
-    std::sort(drain.begin(), drain.end(),
-              [](const auto& x, const auto& y) { return x.first < y.first; });
-    for (const auto& [flat, v] : drain) out.add(flat, v);
-    flops += partial_flops[static_cast<std::size_t>(t)];
-  }
+  const double flops = 2.0 * static_cast<double>(products);
   out.finalize();
   if (stats) {
     stats->flops += flops;
@@ -442,19 +461,20 @@ DenseTensor einsum_sd(const std::string& spec_str, const SparseTensor& a,
 
   DenseTensor tmp(p.tmp_shape);
   const index_t n = p.n;
-  double flops = 0.0;
-  const std::size_t ngroups = starts.empty() ? 0 : starts.size() - 1;
-#pragma omp parallel for schedule(dynamic, 4) reduction(+ : flops) \
-    if (ngroups > 8 && tmp.size() > (index_t{1} << 14) && openmp_allowed())
-  for (std::size_t gi = 0; gi < ngroups; ++gi) {
-    real_t* crow = tmp.data() + es[starts[gi]].row * n;
-    for (std::size_t e = starts[gi]; e < starts[gi + 1]; ++e) {
-      const real_t* brow = bp->data() + es[e].key * n;
-      const real_t v = es[e].val;
-      for (index_t j = 0; j < n; ++j) crow[j] += v * brow[j];
-      flops += 2.0 * static_cast<double>(n);
-    }
-  }
+  const auto ngroups = static_cast<index_t>(starts.size() - 1);
+  support::parallel_for(
+      ngroups,
+      [&](index_t gi) {
+        const auto g = static_cast<std::size_t>(gi);
+        real_t* crow = tmp.data() + es[starts[g]].row * n;
+        for (std::size_t e = starts[g]; e < starts[g + 1]; ++e) {
+          const real_t* brow = bp->data() + es[e].key * n;
+          const real_t v = es[e].val;
+          for (index_t j = 0; j < n; ++j) crow[j] += v * brow[j];
+        }
+      },
+      ngroups > 8 && tmp.size() > (index_t{1} << 14) ? 0 : 1);
+  const double flops = 2.0 * static_cast<double>(n) * static_cast<double>(es.size());
 
   DenseTensor out;
   if (p.cperm_identity) {
@@ -519,17 +539,16 @@ DenseTensor einsum_ds(const std::string& spec_str, const DenseTensor& a,
 
   DenseTensor tmp(p.tmp_shape);
   const index_t m = p.m, n = p.n, k = p.k;
-  double flops = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : flops) \
-    if (m > 4 && static_cast<double>(m) * static_cast<double>(es.size()) > 1e5 && openmp_allowed())
-  for (index_t r = 0; r < m; ++r) {
-    const real_t* arow = apm->data() + r * k;
-    real_t* crow = tmp.data() + r * n;
-    for (const Entry& e : es) {
-      crow[e.col] += arow[e.key] * e.val;
-    }
-    flops += 2.0 * static_cast<double>(es.size());
-  }
+  const double pairs = static_cast<double>(m) * static_cast<double>(es.size());
+  support::parallel_for(
+      m,
+      [&](index_t r) {
+        const real_t* arow = apm->data() + r * k;
+        real_t* crow = tmp.data() + r * n;
+        for (const Entry& e : es) crow[e.col] += arow[e.key] * e.val;
+      },
+      m > 4 && pairs > 1e5 ? 0 : 1);
+  const double flops = 2.0 * pairs;
 
   DenseTensor out;
   if (p.cperm_identity) {

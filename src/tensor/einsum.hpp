@@ -45,7 +45,9 @@ DenseTensor einsum(const std::string& spec, const DenseTensor& a,
 
 /// Sparse × sparse → sparse. If `out_mask` is non-null, only locations present
 /// in the mask are accumulated (the paper's precomputed output sparsity, which
-/// Cyclops uses to bound memory during sparse contraction).
+/// Cyclops uses to bound memory during sparse contraction). Runs on the
+/// support::parallel_for pool; every output entry sums its terms in
+/// contracted-key order, so results are bitwise identical at any TT_THREADS.
 SparseTensor einsum_ss(const std::string& spec, const SparseTensor& a,
                        const SparseTensor& b, EinsumStats* stats = nullptr,
                        const SparseTensor* out_mask = nullptr);

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -24,19 +25,34 @@ TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
     ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "index " << i;
 }
 
+// Distinct threads that ran the body, recorded from inside a parallel loop.
+class ThreadSet {
+ public:
+  void record() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ids_.insert(std::this_thread::get_id());
+  }
+  std::set<std::thread::id> ids() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return ids_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::set<std::thread::id> ids_;
+};
+
 TEST(ThreadPool, StealsWhenRangesAreImbalanced) {
-  // Participant 0 stalls on its first iteration; the rest of its range must
-  // be drained by stealing participants.
+  // The caller owns index 0 and stalls on it; the rest of its range must be
+  // drained by stealing participants.
   tt::support::ThreadPool pool(3);
-  std::atomic<int> slots_seen{0};
-  std::vector<std::atomic<bool>> seen(8);
+  ThreadSet stolen;  // threads that ran part of the caller's range
+  const std::thread::id caller = std::this_thread::get_id();
   pool.parallel_for(4000, 4, [&](index_t i) {
     if (i == 0) std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    const int s = tt::support::execution_slot();
-    if (!seen[static_cast<std::size_t>(s)].exchange(true))
-      slots_seen.fetch_add(1);
+    if (i < 1000 && std::this_thread::get_id() != caller) stolen.record();
   });
-  EXPECT_GE(slots_seen.load(), 2);
+  EXPECT_GE(stolen.ids().size(), 1u);
 }
 
 TEST(ThreadPool, CallerParticipatesWithZeroWorkers) {
@@ -80,11 +96,6 @@ TEST(ThreadPool, NestedCallsRunInline) {
   EXPECT_FALSE(tt::support::in_parallel_region());
 }
 
-TEST(ThreadPool, ExecutionSlotIsZeroOutsideRegions) {
-  EXPECT_EQ(tt::support::execution_slot(), 0);
-  EXPECT_FALSE(tt::support::in_parallel_region());
-}
-
 TEST(ThreadPool, SetNumThreadsOverridesAndRestores) {
   const int base = tt::support::num_threads();
   EXPECT_GE(base, 1);
@@ -95,11 +106,31 @@ TEST(ThreadPool, SetNumThreadsOverridesAndRestores) {
 }
 
 TEST(ThreadPool, GlobalParallelForHonorsThreadCap) {
-  // threads=1 must run strictly serially on the calling thread.
-  std::set<int> slots;
+  // threads=1 must run strictly serially on the calling thread — including
+  // any parallel_for its body reaches, whatever the global setting.
+  tt::support::set_num_threads(8);
+  ThreadSet serial;
   tt::support::parallel_for(
-      64, [&](index_t) { slots.insert(tt::support::execution_slot()); }, 1);
-  EXPECT_EQ(slots.size(), 1u);
+      64,
+      [&](index_t) {
+        EXPECT_TRUE(tt::support::in_parallel_region());
+        tt::support::parallel_for(64, [&](index_t) { serial.record(); });
+      },
+      1);
+  EXPECT_EQ(serial.ids(), std::set<std::thread::id>{std::this_thread::get_id()});
+  EXPECT_FALSE(tt::support::in_parallel_region());
+
+  // A cap of 2 never puts more than two threads on the loop.
+  ThreadSet capped;
+  tt::support::parallel_for(
+      4000,
+      [&](index_t i) {
+        if (i % 500 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        capped.record();
+      },
+      2);
+  EXPECT_LE(capped.ids().size(), 2u);
+  tt::support::set_num_threads(0);
 
   std::atomic<index_t> sum{0};
   tt::support::parallel_for(256, [&](index_t i) { sum += i; }, 8);

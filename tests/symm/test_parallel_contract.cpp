@@ -1,9 +1,9 @@
 // Determinism and correctness of the thread-parallel block-contraction
 // executor: bitwise-identical outputs and ContractStats at any thread count,
-// agreement with the fused dense oracle, and the concurrent per-block hook.
+// agreement with the fused dense oracle, and thread-count independence of
+// every engine, fused sparse kernels included.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstring>
 #include <vector>
 
@@ -36,14 +36,16 @@ Index wide_bond(Dir d, int nsec, int dim0) {
 
 Index phys(Dir d) { return Index({{QN(-1), 2}, {QN(1), 2}}, d); }
 
-// Many-block operand pair sharing a contractible middle bond.
-std::pair<BlockTensor, BlockTensor> many_block_pair(unsigned seed) {
+// Many-block operand pair sharing a contractible middle bond; `scale`
+// multiplies the base sector dimension of every bond.
+std::pair<BlockTensor, BlockTensor> many_block_pair(unsigned seed, int scale = 1) {
   Rng rng(seed);
-  const Index mid = wide_bond(Dir::Out, 11, 3);
+  const Index mid = wide_bond(Dir::Out, 11, 3 * scale);
   BlockTensor a = BlockTensor::random(
-      {wide_bond(Dir::In, 9, 2), phys(Dir::In), mid}, QN::zero(1), rng);
+      {wide_bond(Dir::In, 9, 2 * scale), phys(Dir::In), mid}, QN::zero(1), rng);
   BlockTensor b = BlockTensor::random(
-      {mid.reversed(), phys(Dir::In), wide_bond(Dir::Out, 9, 2)}, QN::zero(1), rng);
+      {mid.reversed(), phys(Dir::In), wide_bond(Dir::Out, 9, 2 * scale)}, QN::zero(1),
+      rng);
   return {std::move(a), std::move(b)};
 }
 
@@ -135,54 +137,33 @@ TEST(ParallelContract, MultiModeAndScalarOutputsStayDeterministic) {
       tt::symm::contract(a, adag, {{0, 0}, {1, 1}, {2, 2}}, nullptr, par));
 }
 
-TEST(ParallelContract, BlockHookFiresOncePerPairConcurrently) {
-  auto [a, b] = many_block_pair(35);
-  ContractStats st;
-  ContractOptions opts;
-  opts.num_threads = 8;
-  std::atomic<int> calls{0};
-  std::atomic<double> flops{0.0};
-  opts.block_hook = [&](const tt::symm::BlockOpCost& op) {
-    calls.fetch_add(1);
-    double cur = flops.load();
-    while (!flops.compare_exchange_weak(cur, cur + op.flops)) {
-    }
-  };
-  tt::symm::contract(a, b, {{2, 0}}, &st, opts);
-  EXPECT_EQ(calls.load(), static_cast<int>(st.block_ops.size()));
-  EXPECT_NEAR(flops.load(), st.total_flops, 1e-6 * (1.0 + st.total_flops));
-}
-
-TEST(ParallelContract, HookShardsMergeIntoTracker) {
-  // The documented pattern: charge per-block costs from the concurrent hook
-  // into per-slot tracker shards, merge deterministically afterwards.
-  auto [a, b] = many_block_pair(36);
-  tt::rt::CostTrackerShards shards(8);
-  ContractStats st;
-  ContractOptions opts;
-  opts.num_threads = 8;
-  opts.block_hook = [&](const tt::symm::BlockOpCost& op) {
-    shards.shard(tt::support::execution_slot()).add_flops(op.flops);
-  };
-  tt::symm::contract(a, b, {{2, 0}}, &st, opts);
-  EXPECT_NEAR(shards.merged().flops(), st.total_flops,
-              1e-6 * (1.0 + st.total_flops));
-}
-
 TEST(ParallelContract, EnginesProduceIdenticalResultsAtAnyThreadCount) {
-  auto [a, b] = many_block_pair(37);
+  // Scaled up so the fused sparse kernels take their parallel paths.
+  auto [a, b] = many_block_pair(37, 2);
   const tt::rt::Cluster local{tt::rt::localhost(), 1, 1};
-  for (auto kind : {tt::dmrg::EngineKind::kReference, tt::dmrg::EngineKind::kList}) {
+  using tt::dmrg::EngineKind;
+  using tt::dmrg::Role;
+  // The list engines thread through their own knob, the fused sparse kernels
+  // (einsum_ss, einsum_sd, einsum_ds) through the global one: set both.
+  for (auto kind : {EngineKind::kReference, EngineKind::kList,
+                    EngineKind::kSparseDense, EngineKind::kSparseSparse}) {
     auto serial = tt::dmrg::make_engine(kind, local);
     serial->set_num_threads(1);
     auto par = tt::dmrg::make_engine(kind, local);
     par->set_num_threads(8);
-    using tt::dmrg::Role;
+    tt::support::set_num_threads(1);
     const BlockTensor c1 = serial->contract(a, Role::kOperator, b,
                                             Role::kIntermediate, {{2, 0}});
+    const BlockTensor r1 = serial->contract(b, Role::kIntermediate, a,
+                                            Role::kOperator, {{0, 2}});
+    tt::support::set_num_threads(8);
     const BlockTensor c8 =
         par->contract(a, Role::kOperator, b, Role::kIntermediate, {{2, 0}});
+    const BlockTensor r8 =
+        par->contract(b, Role::kIntermediate, a, Role::kOperator, {{0, 2}});
+    tt::support::set_num_threads(0);
     expect_bitwise_equal(c1, c8);
+    expect_bitwise_equal(r1, r8);
     // The charged simulated cost must not depend on the thread count either.
     EXPECT_EQ(serial->tracker().flops(), par->tracker().flops());
     EXPECT_EQ(serial->tracker().total_time(), par->tracker().total_time());

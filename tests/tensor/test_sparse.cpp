@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/naive_einsum.hpp"
 #include "support/error.hpp"
+#include "support/thread_pool.hpp"
 #include "tensor/einsum.hpp"
 #include "tensor/sparse.hpp"
 
@@ -165,6 +167,91 @@ TEST(SparseEinsum, StatsCountActualSparseFlops) {
   SparseTensor c = tt::tensor::einsum_ss("ik,kj->ij", a, b, &st);
   EXPECT_DOUBLE_EQ(st.flops, 2.0);
   EXPECT_DOUBLE_EQ(c.value_at(0), 12.0);  // c[0,0]
+}
+
+TEST(SparseEinsum, SparseSparseBitwiseIdenticalAcrossThreadCounts) {
+  // Every output entry sums 360 contracted terms, so any change in
+  // accumulation order between thread counts shows in the last bits.
+  const index_t ni = 40, nj = 12, nk = 30, nl = 40;
+  DenseTensor da = random_sparse_dense({ni, nj, nk}, 0.5, 41);
+  DenseTensor db = random_sparse_dense({nj, nk, nl}, 0.5, 43);
+  SparseTensor sa = SparseTensor::from_dense(da);
+  SparseTensor sb = SparseTensor::from_dense(db);
+
+  // The serial order: each entry accumulates its terms in ascending
+  // contracted-key order, starting from zero.
+  DenseTensor want({ni, nl});
+  double pairs = 0.0;
+  for (index_t i = 0; i < ni; ++i)
+    for (index_t l = 0; l < nl; ++l) {
+      double s = 0.0;
+      for (index_t jk = 0; jk < nj * nk; ++jk) {
+        const double x = da[i * nj * nk + jk], y = db[jk * nl + l];
+        if (x == 0.0 || y == 0.0) continue;
+        s += x * y;
+        pairs += 1.0;
+      }
+      want[i * nl + l] = s;
+    }
+
+  SparseTensor mask({ni, nl});  // every third output entry
+  for (index_t f = 0; f < ni * nl; f += 3) mask.add(f, 1.0);
+  mask.finalize();
+
+  std::vector<SparseTensor> masked;
+  for (int threads : {1, 2, 3, 8}) {
+    tt::support::set_num_threads(threads);
+    EinsumStats st;
+    SparseTensor got = tt::tensor::einsum_ss("ijk,jkl->il", sa, sb, &st);
+    masked.push_back(tt::tensor::einsum_ss("ijk,jkl->il", sa, sb, nullptr, &mask));
+    EXPECT_EQ(st.flops, 2.0 * pairs) << threads << " threads";
+    for (index_t f = 0; f < ni * nl; ++f)
+      ASSERT_EQ(got.value_at(f), want[f]) << "flat " << f << ", " << threads
+                                          << " threads";
+  }
+  tt::support::set_num_threads(0);
+  for (const SparseTensor& m : masked) {
+    ASSERT_EQ(m.nnz(), masked[0].nnz());
+    EXPECT_EQ(std::memcmp(m.values().data(), masked[0].values().data(),
+                          static_cast<std::size_t>(m.nnz()) * sizeof(double)),
+              0);
+    for (index_t f : m.indices()) EXPECT_EQ(f % 3, 0);
+  }
+}
+
+TEST(SparseEinsum, SparseDenseKernelsBitwiseIdenticalAcrossThreadCounts) {
+  // Large enough that both kernels take their parallel path.
+  DenseTensor sparse_a = random_sparse_dense({200, 12, 30}, 0.5, 47);
+  DenseTensor sparse_b = random_sparse_dense({12, 30, 100}, 0.5, 53);
+  Rng rng(59);
+  DenseTensor dense_a = DenseTensor::random({200, 12, 30}, rng);
+  DenseTensor dense_b = DenseTensor::random({12, 30, 100}, rng);
+  SparseTensor sa = SparseTensor::from_dense(sparse_a);
+  SparseTensor sb = SparseTensor::from_dense(sparse_b);
+
+  std::vector<DenseTensor> sd, ds;
+  std::vector<double> sd_flops, ds_flops;
+  for (int threads : {1, 2, 3, 8}) {
+    tt::support::set_num_threads(threads);
+    EinsumStats st_sd, st_ds;
+    sd.push_back(tt::tensor::einsum_sd("ijk,jkl->il", sa, dense_b, &st_sd));
+    ds.push_back(tt::tensor::einsum_ds("ijk,jkl->il", dense_a, sb, &st_ds));
+    sd_flops.push_back(st_sd.flops);
+    ds_flops.push_back(st_ds.flops);
+  }
+  tt::support::set_num_threads(0);
+  EXPECT_EQ(sd_flops[0], 2.0 * 100.0 * static_cast<double>(sa.nnz()));
+  EXPECT_EQ(ds_flops[0], 2.0 * 200.0 * static_cast<double>(sb.nnz()));
+  for (std::size_t t = 1; t < sd.size(); ++t) {
+    EXPECT_EQ(std::memcmp(sd[t].data(), sd[0].data(),
+                          static_cast<std::size_t>(sd[0].size()) * sizeof(double)),
+              0);
+    EXPECT_EQ(std::memcmp(ds[t].data(), ds[0].data(),
+                          static_cast<std::size_t>(ds[0].size()) * sizeof(double)),
+              0);
+    EXPECT_EQ(sd_flops[t], sd_flops[0]);
+    EXPECT_EQ(ds_flops[t], ds_flops[0]);
+  }
 }
 
 TEST(SparseEinsum, EmptyOperandsYieldEmptyOutput) {
